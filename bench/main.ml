@@ -303,7 +303,7 @@ let ablation_notify () =
 (* ================================================================== *)
 
 let ablation_lookup () =
-  section "ABL2 flow-table lookup: linear scan vs exact-match hash";
+  section "ABL2 flow-table lookup: linear scan vs classifier on exact rules";
   let header frame in_port = P.Headers.of_eth ~in_port frame in
   let mk_frame i =
     P.Builder.tcp_syn
@@ -329,14 +329,15 @@ let ablation_lookup () =
             test
               (Printf.sprintf "lookup/%s/%d_flows" label size)
               (fun () -> ignore (N.Flow_table.lookup t ~now:0. probe)))
-          [ "linear", N.Flow_table.Linear; "hash", N.Flow_table.Exact_hash ])
+          [ "linear", N.Flow_table.Linear;
+            "classifier", N.Flow_table.Classifier ])
       [ 10; 100; 1000 ]
   in
   print_benchmarks "abl2" (run_benchmarks tests)
 
 (* ================================================================== *)
 (* E15 — the tuple-space classifier (DESIGN.md): entries examined per
-   lookup and wall time, Linear vs Exact_hash vs Classifier, over a
+   lookup and wall time, Linear vs Classifier, over a
    mixed-mask rule set (per-MAC forwarding + /24 subnets + port ACLs +
    exact microflows) like a router-plus-ACL controller installs. *)
 (* ================================================================== *)
@@ -390,8 +391,7 @@ let e15_table strategy size =
   t
 
 let e15_strategies =
-  [ "linear", N.Flow_table.Linear; "hash", N.Flow_table.Exact_hash;
-    "classifier", N.Flow_table.Classifier ]
+  [ "linear", N.Flow_table.Linear; "classifier", N.Flow_table.Classifier ]
 
 let e15_classifier () =
   section "E15a classifier: entries examined per lookup over mixed-mask rules";
@@ -446,7 +446,7 @@ let e15_classifier () =
       Yanc.Controller.attach_switches ctl;
       let yfs = Yanc.Controller.yfs ctl in
       Yanc.Controller.add_app ctl (Apps.Topology.app (Apps.Topology.create yfs));
-      Yanc.Controller.add_app ctl (Apps.Router.app (Apps.Router.create yfs));
+      Yanc.Controller.add_app ctl (Apps.Ecmp_router.app (Apps.Ecmp_router.create yfs));
       let t0 = Sys.time () in
       Yanc.Controller.run_for ctl 3.0;
       let net = built.N.Topo_gen.net in
@@ -536,9 +536,9 @@ let e9_reactive () =
       let ctl = Yanc.Controller.create ~net:built.N.Topo_gen.net () in
       Yanc.Controller.attach_switches ctl;
       let topo = Apps.Topology.create (Yanc.Controller.yfs ctl) in
-      let router = Apps.Router.create (Yanc.Controller.yfs ctl) in
+      let router = Apps.Ecmp_router.create (Yanc.Controller.yfs ctl) in
       Yanc.Controller.add_app ctl (Apps.Topology.app topo);
-      Yanc.Controller.add_app ctl (Apps.Router.app router);
+      Yanc.Controller.add_app ctl (Apps.Ecmp_router.app router);
       Yanc.Controller.run_for ctl 3.0;
       let cost = Fs.cost (Yanc.Controller.fs ctl) in
       let net = built.N.Topo_gen.net in
@@ -660,7 +660,7 @@ let ablation_reactive_granularity () =
     run_app (fun ctl ->
         let yfs = Yanc.Controller.yfs ctl in
         Yanc.Controller.add_app ctl (Apps.Topology.app (Apps.Topology.create yfs));
-        Yanc.Controller.add_app ctl (Apps.Router.app (Apps.Router.create yfs)))
+        Yanc.Controller.add_app ctl (Apps.Ecmp_router.app (Apps.Ecmp_router.create yfs)))
   in
   let learner_flows =
     run_app (fun ctl ->
@@ -967,7 +967,7 @@ let e16_workload ?telemetry ?tuning ~pings () =
   Yanc.Controller.attach_switches ctl;
   let yfs = Yanc.Controller.yfs ctl in
   Yanc.Controller.add_app ctl (Apps.Topology.app (Apps.Topology.create yfs));
-  Yanc.Controller.add_app ctl (Apps.Router.app (Apps.Router.create yfs));
+  Yanc.Controller.add_app ctl (Apps.Ecmp_router.app (Apps.Ecmp_router.create yfs));
   let t0 = Sys.time () in
   Yanc.Controller.run_for ctl 3.0;
   let net = built.N.Topo_gen.net in
@@ -2468,23 +2468,64 @@ let smoke () =
   in
   let ka_off = ref infinity in
   let ka_on = ref infinity in
+  let ka_ctl = ref None in
   for _ = 1 to 5 do
     let _, w = e16_workload ~tuning:no_keepalive ~pings:6 () in
     if w < !ka_off then ka_off := w;
-    let _, w = e16_workload ~pings:6 () in
-    if w < !ka_on then ka_on := w
+    let ctl, w = e16_workload ~pings:6 () in
+    if w < !ka_on then ka_on := w;
+    ka_ctl := Some ctl
   done;
-  Printf.printf "bench-smoke: keepalives off %.4fs, on %.4fs (%+.1f%%)\n"
+  (* The bound is 2% plus 5 ms of timer slack; on a run this short the
+     slack dominates, so print the percentage actually allowed. *)
+  let allowed = (0.02 +. (0.005 /. !ka_off)) *. 100. in
+  Printf.printf
+    "bench-smoke: keepalives off %.4fs, on %.4fs (%+.1f%%, allowed +%.1f%%)\n"
     !ka_off !ka_on
-    ((!ka_on -. !ka_off) /. !ka_off *. 100.);
+    ((!ka_on -. !ka_off) /. !ka_off *. 100.)
+    allowed;
   if !ka_on > (!ka_off *. 1.02) +. 0.005 then begin
     Printf.printf
-      "bench-smoke: FAIL — keepalives should cost <= 2%% wall time at steady \
-       state\n";
+      "bench-smoke: FAIL — keepalives should cost <= 2%% + 5 ms wall time \
+       at steady state (+%.1f%% allowed on this run)\n"
+      allowed;
     exit 1
   end;
-  Printf.printf "bench-smoke: ok (recovery converges, keepalive overhead \
-     within 2%%)\n";
+  (* The deterministic companion: each switch's channel carries one
+     echo per keepalive interval of simulated time, within one frame. *)
+  let ka_ctl = Option.get !ka_ctl in
+  let ka_mgr = Yanc.Controller.manager ka_ctl in
+  let interval =
+    Driver.Driver_intf.default_tuning.Driver.Driver_intf.keepalive_interval
+  in
+  let sim_s = Yanc.Controller.now ka_ctl in
+  let echoes =
+    List.map
+      (fun dpid ->
+        match Driver.Manager.link_counters ka_mgr ~dpid with
+        | Some c -> c.Driver.Driver_intf.keepalives_sent
+        | None -> 0)
+      (Driver.Manager.attached ka_mgr)
+  in
+  let expected = sim_s /. interval in
+  Printf.printf
+    "bench-smoke: keepalive echoes per switch: %d..%d in %.2f sim s \
+     (expected %.2f +- 1)\n"
+    (List.fold_left min max_int echoes)
+    (List.fold_left max 0 echoes)
+    sim_s expected;
+  if echoes = []
+     || List.exists (fun n -> Float.abs (float_of_int n -. expected) > 1.) echoes
+  then begin
+    Printf.printf
+      "bench-smoke: FAIL — every switch should send one keepalive echo per \
+       interval\n";
+    exit 1
+  end;
+  Printf.printf
+    "bench-smoke: ok (recovery converges, keepalive overhead within \
+     +%.1f%% (2%% + 5 ms), one echo per interval per switch)\n"
+    allowed;
   (* The commit-queue gate (E18): driver work per commit round must be
      O(dirty), not O(flows) — crossings per round at a 4096-entry table
      within 2x of a 256-entry table — and a burst of writes to one flow

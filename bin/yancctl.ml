@@ -75,7 +75,7 @@ let build ~topo ~of13 ~apps =
       | "topology" ->
         Yanc.Controller.add_app ctl (Apps.Topology.app (Apps.Topology.create yfs))
       | "router" ->
-        Yanc.Controller.add_app ctl (Apps.Router.app (Apps.Router.create yfs))
+        Yanc.Controller.add_app ctl (Apps.Ecmp_router.app (Apps.Ecmp_router.create yfs))
       | "learning" ->
         Yanc.Controller.add_app ctl
           (Apps.Learning_switch.app (Apps.Learning_switch.create yfs))
@@ -889,14 +889,13 @@ let datapath_arg =
     & opt
         (enum
            [ "linear", N.Flow_table.Linear;
-             "hash", N.Flow_table.Exact_hash;
              "classifier", N.Flow_table.Classifier ])
         N.Flow_table.Classifier
     & info [ "datapath" ] ~docv:"STRATEGY"
         ~doc:
           "Switch flow-table lookup strategy: classifier (tuple-space \
-           search with a microflow cache, the default), hash (exact-match \
-           fast path), or linear (the reference scan).")
+           search with a microflow cache, the default) or linear (the \
+           reference scan).")
 
 let of13_arg =
   Arg.(value & flag & info [ "of13" ] ~doc:"Attach OpenFlow 1.3 drivers instead of 1.0.")

@@ -13,9 +13,9 @@ let () =
   Yanc.Controller.attach_switches ctl;
   let yfs = Yanc.Controller.yfs ctl in
   let topo = Apps.Topology.create yfs in
-  let router = Apps.Router.create yfs in
+  let router = Apps.Ecmp_router.create yfs in
   Yanc.Controller.add_app ctl (Apps.Topology.app topo);
-  Yanc.Controller.add_app ctl (Apps.Router.app router);
+  Yanc.Controller.add_app ctl (Apps.Ecmp_router.app router);
 
   Printf.printf "running LLDP discovery...\n%!";
   Yanc.Controller.run_for ctl 3.0;
@@ -56,8 +56,8 @@ let () =
   ping "h1" 16;
 
   Printf.printf "\nrouter state: %d paths installed, %d hosts tracked\n"
-    (Apps.Router.paths_installed router)
-    (Apps.Router.hosts_tracked router);
+    (Apps.Ecmp_router.paths_installed router)
+    (Apps.Ecmp_router.hosts_tracked router);
 
   (* the hosts directory is a live inventory *)
   let sh = Shell.Env.create (Yanc.Controller.fs ctl) in

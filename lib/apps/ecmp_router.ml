@@ -8,6 +8,10 @@ type delivery = Ring | Eventdir
 
 type location = { switch : string; port : int }
 
+(* A host as last recorded under hosts/: the entry it is filed under,
+   where it attaches, and its address (arpd's proxy answers from it). *)
+type host = { name : string; loc : location; ip : P.Ipv4_addr.t option }
+
 (* One next-hop option: out port here, peer switch, peer's in port. *)
 type hop = { out_port : int; peer : string; peer_in : int }
 
@@ -21,11 +25,11 @@ type t = {
   idle_timeout : int;
   priority : int;
   batch : int;
-  hosts : (P.Mac.t, location) Hashtbl.t;
+  hosts : (P.Mac.t, host) Hashtbl.t;
   subscribed : (string, unit) Hashtbl.t;       (* Eventdir mode *)
   mutable ring : Y.Pktin.consumer option;      (* Ring mode, lazy *)
   (* Topology caches, built lazily from the peer symlinks and rebuilt
-     once when a route comes up empty (links changed underneath us). *)
+     once when a route comes up empty or crosses a link that is gone. *)
   mutable adj : (string, hop) Hashtbl.t option;
   nexthops : (string, (string, hop array) Hashtbl.t) Hashtbl.t;
   salts : (string, int) Hashtbl.t;
@@ -152,9 +156,9 @@ let avalanche h =
    the two directions of a TCP flow may take different paths, but each
    direction is stable. Distance to the destination strictly decreases,
    so the walk terminates. *)
-let route t ~hash ~from_sw ~dst_sw =
+let walk t ~hash ~from_sw ~dst_sw =
   let table = nexthop_table t ~dst_sw in
-  let rec walk sw acc =
+  let rec go sw acc =
     if sw = dst_sw then Some (List.rev acc)
     else
       match Hashtbl.find_opt table sw with
@@ -162,9 +166,36 @@ let route t ~hash ~from_sw ~dst_sw =
       | Some hops ->
         let i = avalanche (hash lxor salt t sw) mod Array.length hops in
         let h = hops.(i) in
-        walk h.peer (h :: acc)
+        go h.peer (h :: acc)
   in
-  walk from_sw []
+  go from_sw []
+
+(* Every hop's peer link must still be on file: the topology daemon
+   unlinks a dead link's peer symlinks, which the cached tables cannot
+   see. *)
+let links_up t ~from_sw hops =
+  let rec go sw = function
+    | [] -> true
+    | h :: rest ->
+      Y.Yanc_fs.peer_of t.yfs ~cred:t.cred ~switch:sw ~port:h.out_port
+      = Some (h.peer, h.peer_in)
+      && go h.peer rest
+  in
+  go from_sw hops
+
+(* A walk that finds no path (a link appeared) or crosses a link that
+   is gone rebuilds the tables once and retries. *)
+let route t ~hash ~from_sw ~dst_sw =
+  let attempt () =
+    match walk t ~hash ~from_sw ~dst_sw with
+    | Some hops when links_up t ~from_sw hops -> Some hops
+    | Some _ | None -> None
+  in
+  match attempt () with
+  | Some hops -> Some hops
+  | None ->
+    refresh_topology t;
+    attempt ()
 
 (* --- hosts ------------------------------------------------------------------- *)
 
@@ -176,34 +207,88 @@ let load_hosts t =
   List.iter
     (fun name ->
       match Y.Yanc_fs.read_host t.yfs ~cred:t.cred name with
-      | Ok (mac, _ip, Some (switch, port)) ->
-        Hashtbl.replace t.hosts mac { switch; port }
+      | Ok (mac, ip, Some (switch, port)) ->
+        Hashtbl.replace t.hosts mac { name; loc = { switch; port }; ip }
       | Ok _ | Error _ -> ())
     (Y.Yanc_fs.host_names t.yfs ~cred:t.cred)
 
+let source_ip frame =
+  match frame.P.Eth.payload with
+  | P.Eth.Arp arp -> Some arp.P.Arp.spa
+  | P.Eth.Ipv4 ip when not (P.Ipv4_addr.equal ip.P.Ipv4.src P.Ipv4_addr.any) ->
+    Some ip.P.Ipv4.src
+  | _ -> None
+
+(* Record where a source address attaches and which IP it speaks from.
+   The FS is written only when either changes, so a host that keeps
+   talking from the same port costs no mutation (and no fsnotify
+   dispatch). Only edge ports host endpoints. *)
 let learn t ~switch ~in_port frame =
   let mac = frame.P.Eth.src in
-  if (not (P.Mac.is_multicast mac)) && not (Hashtbl.mem t.hosts mac) then
-    (* Only edge ports host endpoints. *)
-    if Y.Yanc_fs.peer_of t.yfs ~cred:t.cred ~switch ~port:in_port = None then begin
-      Hashtbl.replace t.hosts mac { switch; port = in_port };
-      let name = Printf.sprintf "host-%012x" (P.Mac.to_int mac) in
+  if not (P.Mac.is_multicast mac) then begin
+    let loc = { switch; port = in_port } in
+    let known = Hashtbl.find_opt t.hosts mac in
+    let old_ip = Option.bind known (fun h -> h.ip) in
+    let ip = match source_ip frame with Some _ as ip -> ip | None -> old_ip in
+    let readdressed = not (Option.equal P.Ipv4_addr.equal ip old_ip) in
+    let moved = match known with Some h -> h.loc <> loc | None -> true in
+    if (moved || readdressed)
+       && Y.Yanc_fs.peer_of t.yfs ~cred:t.cred ~switch ~port:in_port = None
+    then begin
+      let name =
+        match known with
+        | Some h -> h.name
+        | None -> Printf.sprintf "host-%012x" (P.Mac.to_int mac)
+      in
+      Hashtbl.replace t.hosts mac { name; loc; ip };
       ignore
-        (Y.Yanc_fs.upsert_host t.yfs ~cred:t.cred ~name ~mac ~ip:None
-           ~attached_to:(switch, in_port) ())
+        (Y.Yanc_fs.upsert_host t.yfs ~cred:t.cred ~name ~mac
+           ~ip:(if readdressed then ip else None)
+           ?attached_to:(if moved then Some (switch, in_port) else None) ())
     end
+  end
 
-let lookup_host t mac =
-  match Hashtbl.find_opt t.hosts mac with
-  | Some loc -> Some loc
-  | None ->
-    if t.hosts_loaded then None
-    else begin
-      load_hosts t;
-      Hashtbl.find_opt t.hosts mac
-    end
+(* --- forwarding -------------------------------------------------------------- *)
 
-(* --- installation ------------------------------------------------------------ *)
+(* Release a packet out of [ports]: from the switch's buffer when it
+   holds one, else from the bytes the packet-in carried. *)
+let packet_out t ~switch ?in_port ~buffer_id ~data ports =
+  ignore
+    (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch ?buffer_id
+       ?in_port
+       ~actions:(List.map (fun p -> OF.Action.Output (OF.Action.Physical p)) ports)
+       ~data:(if buffer_id = None then data else "")
+       ())
+
+(* Up ports without a peer link, read from the FS on each flood: floods
+   are rare (ARP, DHCP) and must see links the topology daemon has only
+   just found. *)
+let edge_ports t switch =
+  List.filter
+    (fun port ->
+      Y.Yanc_fs.peer_of t.yfs ~cred:t.cred ~switch ~port = None
+      &&
+      match Y.Yanc_fs.read_port t.yfs ~cred:t.cred ~switch port with
+      | Ok info -> not (info.admin_down || info.link_down)
+      | Error _ -> false)
+    (Y.Yanc_fs.port_numbers t.yfs ~cred:t.cred switch)
+
+(* Broadcast and multicast go to every up edge port in the network
+   except the ingress. No copy crosses an inter-switch link, so this is
+   loop-free on any topology. *)
+let flood t ~ingress ~buffer_id ~data =
+  List.iter
+    (fun switch ->
+      match
+        List.filter
+          (fun port -> port <> ingress.port || switch <> ingress.switch)
+          (edge_ports t switch)
+      with
+      | [] -> ()
+      | ports ->
+        let buffer_id = if switch = ingress.switch then buffer_id else None in
+        packet_out t ~switch ~buffer_id ~data ports)
+    (Y.Yanc_fs.switch_names t.yfs)
 
 let install t ~headers ~ingress ~dst_loc ~buffer_id ~data ~hops =
   t.paths <- t.paths + 1;
@@ -234,57 +319,60 @@ let install t ~headers ~ingress ~dst_loc ~buffer_id ~data ~hops =
       ignore (Y.Yanc_fs.create_flow t.yfs ~cred:t.cred ~switch:sw ~name flow);
       (* Unbuffered ingress: push the original packet along too. *)
       if is_ingress_hop && buffer_id = None then
-        ignore
-          (Y.Outdir.submit (fs t) ~cred:t.cred ~root:(root t) ~switch:sw
-             ~in_port
-             ~actions:[ OF.Action.Output (OF.Action.Physical out_port) ]
-             ~data ()))
+        packet_out t ~switch:sw ~in_port ~buffer_id ~data [ out_port ])
     (List.rev flows)
+
+(* A miss on an inter-switch port is a packet that left its ingress
+   before the rest of its path was programmed: the rules are still in
+   the commit queue or, on a sharded cluster, in the DFS op log on
+   their way to the node that owns this switch. Installing here would
+   set the whole path up a second time from mid-fabric (once per node
+   the path crosses); dropping would lose a connection's first SYN. So
+   this one packet is released straight out of the destination's host
+   port at its edge switch, whose rules may be pending too, and
+   nothing is installed. *)
+let forward_transit t ~switch ~buffer_id ~data frame =
+  Telemetry.Registry.incr t.c_transit;
+  match Hashtbl.find_opt t.hosts frame.P.Eth.dst with
+  | None -> ()
+  | Some dst ->
+    packet_out t ~switch:dst.loc.switch
+      ~buffer_id:(if dst.loc.switch = switch then buffer_id else None)
+      ~data [ dst.loc.port ]
 
 let process t ~switch ~in_port ~buffer_id ~data frame =
   match frame.P.Eth.payload with
   | P.Eth.Lldp _ -> ()
-  | _ when List.exists
-             (fun (h : hop) -> h.out_port = in_port)
-             (Hashtbl.find_all (adjacency t) switch) ->
-    (* A miss on an inter-switch port is a transit packet racing its
-       own path: the ingress switch's owner already routed this flow,
-       and the rule for this hop is in the commit (or, across cluster
-       nodes, the replication) pipeline. Re-routing here would install
-       the whole path a second time from mid-fabric — on a sharded
-       cluster, once per node the path crosses. Drop it like any
-       convergence-window loss and let the rule land. *)
+  | _ ->
     Telemetry.Registry.incr t.c_events;
-    Telemetry.Registry.incr t.c_transit
-  | _ -> (
-    Telemetry.Registry.incr t.c_events;
-    learn t ~switch ~in_port frame;
-    let dst = frame.P.Eth.dst in
-    match lookup_host t dst with
-    | None ->
-      (* A routing fabric drops what it has no location for — flooding
-         a datacenter-scale storm would melt the control plane. *)
-      Telemetry.Registry.incr t.c_unknown
-    | Some dst_loc ->
-      let headers = P.Headers.of_eth ~in_port frame in
+    if not t.hosts_loaded then load_hosts t;
+    if List.exists
+         (fun (h : hop) -> h.out_port = in_port)
+         (Hashtbl.find_all (adjacency t) switch)
+    then forward_transit t ~switch ~buffer_id ~data frame
+    else begin
+      learn t ~switch ~in_port frame;
       let ingress = { switch; port = in_port } in
-      if dst_loc.switch = switch then
-        install t ~headers ~ingress ~dst_loc ~buffer_id ~data ~hops:[]
-      else begin
-        let hash = OF.Of_match.Packed.(hash (of_headers headers)) in
-        let attempt () = route t ~hash ~from_sw:switch ~dst_sw:dst_loc.switch in
-        let hops =
-          match attempt () with
-          | Some hops -> Some hops
-          | None ->
-            (* Stale adjacency (links changed): rebuild once, retry. *)
-            refresh_topology t;
-            attempt ()
-        in
-        match hops with
-        | Some hops -> install t ~headers ~ingress ~dst_loc ~buffer_id ~data ~hops
-        | None -> Telemetry.Registry.incr t.c_no_route
-      end)
+      let dst = frame.P.Eth.dst in
+      if P.Mac.is_multicast dst then flood t ~ingress ~buffer_id ~data
+      else
+        match Hashtbl.find_opt t.hosts dst with
+        | None ->
+          (* Unknown unicast is dropped, not flooded: flooding a
+             datacenter-scale storm would melt the control plane. *)
+          Telemetry.Registry.incr t.c_unknown
+        | Some { loc = dst_loc; _ } ->
+          let headers = P.Headers.of_eth ~in_port frame in
+          if dst_loc.switch = switch then
+            install t ~headers ~ingress ~dst_loc ~buffer_id ~data ~hops:[]
+          else begin
+            let hash = OF.Of_match.Packed.(hash (of_headers headers)) in
+            match route t ~hash ~from_sw:switch ~dst_sw:dst_loc.switch with
+            | Some hops ->
+              install t ~headers ~ingress ~dst_loc ~buffer_id ~data ~hops
+            | None -> Telemetry.Registry.incr t.c_no_route
+          end
+    end
 
 (* --- delivery ---------------------------------------------------------------- *)
 

@@ -18,7 +18,7 @@
       Snapshots flatten each histogram to [.count]/[.p50]/[.p99]/[.max].
 
     Names are dot-separated lowercase ([vfs.crossings],
-    [sched.routerd.iterations]); [counter]/[histogram] are get-or-create
+    [sched.ecmpd.iterations]); [counter]/[histogram] are get-or-create
     so independent components may share a series by name. *)
 
 type t

@@ -143,12 +143,16 @@ let test_learning_switch () =
 
 (* --- reactive router (E9) ------------------------------------------------------------- *)
 
+let ecmp_counter ctl name =
+  let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
+  Telemetry.Registry.value (Telemetry.Registry.counter reg name)
+
 let router_rig topo =
   let ctl = controller topo in
   let topo_app = Apps.Topology.create (Yanc.Controller.yfs ctl) in
-  let router = Apps.Router.create (Yanc.Controller.yfs ctl) in
+  let router = Apps.Ecmp_router.create (Yanc.Controller.yfs ctl) in
   Yanc.Controller.add_app ctl (Apps.Topology.app topo_app);
-  Yanc.Controller.add_app ctl (Apps.Router.app router);
+  Yanc.Controller.add_app ctl (Apps.Ecmp_router.app router);
   Yanc.Controller.run_for ctl 3.0;
   ctl, router
 
@@ -166,8 +170,8 @@ let test_router_linear () =
   let ctl, router = router_rig built in
   Alcotest.(check bool) "h1 -> h4 across 4 switches" true
     (ping_ok ctl built.net ~from_host:"h1" ~to_n:4);
-  Alcotest.(check bool) "paths installed" true (Apps.Router.paths_installed router > 0);
-  Alcotest.(check bool) "hosts tracked" true (Apps.Router.hosts_tracked router >= 2);
+  Alcotest.(check bool) "paths installed" true (Apps.Ecmp_router.paths_installed router > 0);
+  Alcotest.(check bool) "hosts tracked" true (Apps.Ecmp_router.hosts_tracked router >= 2);
   (* hosts are published in /net/hosts *)
   let yfs = Yanc.Controller.yfs ctl in
   Alcotest.(check bool) "hosts dir populated" true
@@ -184,10 +188,51 @@ let test_router_hardware_after_setup () =
   let built = N.Topo_gen.linear 3 in
   let ctl, router = router_rig built in
   Alcotest.(check bool) "first ping" true (ping_ok ctl built.net ~from_host:"h1" ~to_n:3);
-  let paths = Apps.Router.paths_installed router in
+  let paths = Apps.Ecmp_router.paths_installed router in
   Alcotest.(check bool) "second ping" true (ping_ok ctl built.net ~from_host:"h1" ~to_n:3);
   Alcotest.(check int) "no new path setup for the repeat" paths
-    (Apps.Router.paths_installed router)
+    (Apps.Ecmp_router.paths_installed router)
+
+(* Learning records the sender's IP (arpd's proxy answers from
+   hosts/) and writes only on a change: repeated packet-ins from a host
+   that has not moved leave /net/hosts untouched. *)
+let test_router_learns_once () =
+  let built = N.Topo_gen.linear 2 in
+  let ctl, router = router_rig built in
+  let fs = Yanc.Controller.fs ctl in
+  let hosts_dir = Vfs.Path.of_string_exn "/net/hosts" in
+  let mutations = ref 0 in
+  let hook =
+    Fs.subscribe fs (fun op ->
+        if Vfs.Path.is_prefix hosts_dir (Vfs.Op.path op) then incr mutations)
+  in
+  let h1 = Option.get (N.Network.host built.net "h1") in
+  (* nobody owns this address, so only h1 ever reaches the controller *)
+  let probe () =
+    let before = ecmp_counter ctl "app.ecmpd.events" in
+    N.Network.send_from_host built.net "h1"
+      [ N.Sim_host.arp_probe h1 ~target:(N.Topo_gen.host_ip 99) ];
+    Alcotest.(check bool) "probe reached the router" true
+      (Yanc.Controller.run_until ctl (fun () ->
+           ecmp_counter ctl "app.ecmpd.events" > before))
+  in
+  probe ();
+  let name = Printf.sprintf "host-%012x" (P.Mac.to_int (N.Topo_gen.host_mac 1)) in
+  (match Y.Yanc_fs.read_host (Yanc.Controller.yfs ctl) ~cred name with
+  | Ok (_, ip, attached) ->
+    Alcotest.(check (option string)) "ip file written"
+      (Some (P.Ipv4_addr.to_string (N.Topo_gen.host_ip 1)))
+      (Option.map P.Ipv4_addr.to_string ip);
+    Alcotest.(check bool) "attachment recorded" true (attached <> None)
+  | Error e -> Alcotest.failf "hosts/%s: %s" name (Vfs.Errno.message e));
+  Alcotest.(check bool) "first sighting wrote the host" true (!mutations > 0);
+  mutations := 0;
+  probe ();
+  probe ();
+  Fs.unsubscribe fs hook;
+  Alcotest.(check int) "repeat packet-ins write nothing under /net/hosts" 0
+    !mutations;
+  Alcotest.(check int) "one host tracked" 1 (Apps.Ecmp_router.hosts_tracked router)
 
 (* --- arp daemon ------------------------------------------------------------------------ *)
 
@@ -522,10 +567,6 @@ let ecmp_flows ctl switch =
     (fun n -> String.length n >= 5 && String.sub n 0 5 = "ecmp-")
     (Y.Yanc_fs.flow_names (Yanc.Controller.yfs ctl) ~cred switch)
 
-let ecmp_counter ctl name =
-  let reg = Telemetry.registry (Yanc.Controller.telemetry ctl) in
-  Telemetry.Registry.value (Telemetry.Registry.counter reg name)
-
 (* dpids in a clos: spines first, then leaves. *)
 let test_ecmp_installs_path () =
   let built, ctl, d = ecmp_rig () in
@@ -617,7 +658,8 @@ let () =
       ( "router",
         [ Alcotest.test_case "linear path" `Quick test_router_linear;
           Alcotest.test_case "ring" `Quick test_router_ring;
-          Alcotest.test_case "hardware repeat" `Quick test_router_hardware_after_setup ] );
+          Alcotest.test_case "hardware repeat" `Quick test_router_hardware_after_setup;
+          Alcotest.test_case "learns a host once" `Quick test_router_learns_once ] );
       ( "ecmp",
         [ Alcotest.test_case "installs a multi-hop path" `Quick
             test_ecmp_installs_path;

@@ -262,6 +262,88 @@ let test_kill_one_of_two_takeover () =
   Alcotest.(check bool) "survivor recorded takeovers" true
     (Yanc.Cluster.takeovers c 0 >= List.length orphaned)
 
+(* Reactive connections across shards: the ingress owner installs the
+   whole path, but the rules for switches another node owns reach that
+   node's hardware only through the DFS op log. The SYN that outruns
+   them misses on an inter-switch port, and the owner there must carry
+   it on rather than drop it — hosts here never retransmit, so each
+   handshake has exactly one SYN to complete with. *)
+let test_cross_shard_first_syn () =
+  let built, c = boot () in
+  ignore (Yanc.Cluster.run_until ~tick:0.02 c (fun () -> Yanc.Cluster.converged c));
+  let net = built.N.Topo_gen.net in
+  let sw = Y.Yanc_fs.switch_name_of_dpid in
+  let yfs0 = Yanc.Controller.yfs (Yanc.Cluster.controller c 0) in
+  let edge = Hashtbl.create 16 in
+  (* the fabric inventory, written once through node 0; peers and hosts
+     are not shard-routed, so every replica receives them *)
+  List.iter
+    (fun (a, b) ->
+      match (a, b) with
+      | N.Network.Sw (d1, p1), N.Network.Sw (d2, p2) ->
+        ignore
+          (Y.Yanc_fs.set_peer yfs0 ~cred ~switch:(sw d1) ~port:p1
+             ~peer:(Some (sw d2, p2)));
+        ignore
+          (Y.Yanc_fs.set_peer yfs0 ~cred ~switch:(sw d2) ~port:p2
+             ~peer:(Some (sw d1, p1)))
+      | N.Network.Sw (d, p), N.Network.Hst h
+      | N.Network.Hst h, N.Network.Sw (d, p) ->
+        let i = int_of_string (String.sub h 1 (String.length h - 1)) in
+        Hashtbl.replace edge i d;
+        ignore
+          (Y.Yanc_fs.upsert_host yfs0 ~cred ~name:h
+             ~mac:(N.Topo_gen.host_mac i) ~ip:(Some (N.Topo_gen.host_ip i))
+             ~attached_to:(sw d, p) ())
+      | N.Network.Hst _, N.Network.Hst _ -> ())
+    (N.Network.link_endpoints net);
+  Yanc.Cluster.run_for ~tick:0.01 c 0.2;
+  let idx = ref 0 in
+  Yanc.Cluster.add_app c (fun ctl ->
+      let tag = Printf.sprintf "-n%d" !idx in
+      incr idx;
+      Apps.Ecmp_router.app
+        (Apps.Ecmp_router.create ~tag (Yanc.Controller.yfs ctl)));
+  let owner i = Yanc.Cluster.owner_index c (Hashtbl.find edge i) in
+  let pairs =
+    List.concat_map
+      (fun src ->
+        List.filter_map
+          (fun dst -> if owner src <> owner dst then Some (src, dst) else None)
+          (List.init 16 (fun j -> j + 1)))
+      [ 1; 6; 11 ]
+    |> List.filteri (fun i _ -> i mod 3 = 0)
+  in
+  Alcotest.(check bool) "some pairs cross shards" true (List.length pairs >= 4);
+  List.iteri
+    (fun n (src, dst) ->
+      let h = Option.get (N.Network.host net (Printf.sprintf "h%d" src)) in
+      let peer = Option.get (N.Network.host net (Printf.sprintf "h%d" dst)) in
+      N.Sim_host.listen peer 80;
+      let sport = 41000 + n in
+      N.Network.send_from_host net (Printf.sprintf "h%d" src)
+        [ N.Sim_host.tcp_connect h ~dst_ip:(N.Topo_gen.host_ip dst)
+            ~dst_mac:(N.Topo_gen.host_mac dst) ~src_port:sport ~dst_port:80 ];
+      Alcotest.(check bool)
+        (Printf.sprintf "h%d -> h%d established on its first SYN" src dst)
+        true
+        (Yanc.Cluster.run_until ~tick:0.005 ~timeout:1.0 c (fun () ->
+             List.mem (sport, 80) (N.Sim_host.tcp_established h))))
+    pairs;
+  let transit =
+    List.fold_left
+      (fun acc i ->
+        let reg =
+          Telemetry.registry
+            (Yanc.Controller.telemetry (Yanc.Cluster.controller c i))
+        in
+        acc
+        + Telemetry.Registry.value
+            (Telemetry.Registry.counter reg "app.ecmpd.transit_miss"))
+      0 (Yanc.Cluster.live_indexes c)
+  in
+  Alcotest.(check bool) "transit misses were carried on" true (transit > 0)
+
 let test_sync_subtree_antientropy () =
   let c = Dfs.Cluster.create ~consistency:Dfs.Consistency.Sequential ~n:3 () in
   (* route everything under /data to replica 1 only, leaving 2 stale *)
@@ -525,7 +607,9 @@ let () =
           Alcotest.test_case "kill one of two: takeover converges" `Quick
             test_kill_one_of_two_takeover;
           Alcotest.test_case "sync_subtree anti-entropy" `Quick
-            test_sync_subtree_antientropy ] );
+            test_sync_subtree_antientropy;
+          Alcotest.test_case "cross-shard connection on its first SYN" `Quick
+            test_cross_shard_first_syn ] );
       ( "observability",
         [ Alcotest.test_case "one trace spans two rings" `Quick
             test_one_trace_two_rings;

@@ -16,9 +16,9 @@ let full_stack built =
   let ctl = Yanc.Controller.create ~net:built.N.Topo_gen.net () in
   Yanc.Controller.attach_switches ctl;
   let topo = Apps.Topology.create (Yanc.Controller.yfs ctl) in
-  let router = Apps.Router.create (Yanc.Controller.yfs ctl) in
+  let router = Apps.Ecmp_router.create (Yanc.Controller.yfs ctl) in
   Yanc.Controller.add_app ctl (Apps.Topology.app topo);
-  Yanc.Controller.add_app ctl (Apps.Router.app router);
+  Yanc.Controller.add_app ctl (Apps.Ecmp_router.app router);
   Yanc.Controller.run_for ctl 3.0;
   ctl, topo, router
 
@@ -51,7 +51,7 @@ let test_fat_tree_all_pairs () =
       "h16", 1 (* and back *);
       "h5", 12 ];
   Alcotest.(check bool) "paths were installed" true
-    (Apps.Router.paths_installed router > 0)
+    (Apps.Ecmp_router.paths_installed router > 0)
 
 let test_tcp_through_fabric () =
   let built = N.Topo_gen.linear 3 in
@@ -194,10 +194,10 @@ let test_multi_app_coexistence () =
   Yanc.Controller.attach_switches ctl;
   let yfs = Yanc.Controller.yfs ctl in
   let topo = Apps.Topology.create yfs in
-  let router = Apps.Router.create yfs in
+  let router = Apps.Ecmp_router.create yfs in
   let arpd = Apps.Arp_daemon.create yfs in
   Yanc.Controller.add_app ctl (Apps.Topology.app topo);
-  Yanc.Controller.add_app ctl (Apps.Router.app router);
+  Yanc.Controller.add_app ctl (Apps.Ecmp_router.app router);
   Yanc.Controller.add_app ctl (Apps.Arp_daemon.app arpd);
   Yanc.Controller.add_app ctl
     (Apps.Auditor.app yfs ~cred ~out:(Vfs.Path.of_string_exn "/var/log/audit") ~period:2.);
@@ -212,7 +212,7 @@ let test_multi_app_coexistence () =
     (Fs.exists fs ~cred (Vfs.Path.of_string_exn "/var/log/audit"));
   Alcotest.(check bool) "accounting wrote csvs" true
     (Fs.exists fs ~cred (Vfs.Path.of_string_exn "/var/acct/sw1.csv"));
-  Alcotest.(check bool) "router tracked hosts" true (Apps.Router.hosts_tracked router >= 3)
+  Alcotest.(check bool) "router tracked hosts" true (Apps.Ecmp_router.hosts_tracked router >= 3)
 
 let test_network_boots_from_nothing () =
   (* The full §2 application ecosystem bootstrapping a cold network:
@@ -229,7 +229,7 @@ let test_network_boots_from_nothing () =
       [ 1; 2 ]
   in
   Yanc.Controller.add_app ctl (Apps.Topology.app (Apps.Topology.create yfs));
-  Yanc.Controller.add_app ctl (Apps.Router.app (Apps.Router.create yfs));
+  Yanc.Controller.add_app ctl (Apps.Ecmp_router.app (Apps.Ecmp_router.create yfs));
   Yanc.Controller.add_app ctl
     (Apps.Dhcp_daemon.app (Apps.Dhcp_daemon.create ~pool yfs));
   Yanc.Controller.add_app ctl (Apps.Arp_daemon.app (Apps.Arp_daemon.create yfs));
@@ -260,9 +260,9 @@ let test_of13_only_network_end_to_end () =
   let ctl = Yanc.Controller.create ~net:built.net () in
   Yanc.Controller.attach_switches ~version:Yanc.Controller.V13 ctl;
   let topo = Apps.Topology.create (Yanc.Controller.yfs ctl) in
-  let router = Apps.Router.create (Yanc.Controller.yfs ctl) in
+  let router = Apps.Ecmp_router.create (Yanc.Controller.yfs ctl) in
   Yanc.Controller.add_app ctl (Apps.Topology.app topo);
-  Yanc.Controller.add_app ctl (Apps.Router.app router);
+  Yanc.Controller.add_app ctl (Apps.Ecmp_router.app router);
   Yanc.Controller.run_for ctl 3.0;
   Alcotest.(check bool) "reactive routing over OF1.3" true
     (ping ctl built.net ~src:"h1" ~dst_n:2)

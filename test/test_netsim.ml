@@ -27,9 +27,7 @@ let add ?(priority = 100) ?(idle = 0) ?(hard = 0) ?(notify = false) t of_match
     ~hard_timeout:hard ~notify_removal:notify ()
 
 let all_strategies =
-  [ N.Flow_table.Linear, "linear";
-    N.Flow_table.Exact_hash, "hash";
-    N.Flow_table.Classifier, "classifier" ]
+  [ N.Flow_table.Linear, "linear"; N.Flow_table.Classifier, "classifier" ]
 
 let test_table_priority () =
   let t = table () in
@@ -112,8 +110,8 @@ let test_table_expired_skipped_in_lookup () =
         { OF.Of_match.any with OF.Of_match.tp_dst = Some 80 }
         [ OF.Action.Output (OF.Action.Physical 1) ];
       add ~priority:10 t OF.Of_match.any [ OF.Action.Output (OF.Action.Physical 9) ];
-      (* an exact-match rule with a hard timeout, to cover the Exact_hash
-         fast path and the classifier's microflow cache *)
+      (* an exact-match rule with a hard timeout, to cover the
+         classifier's microflow cache *)
       add ~priority:300 ~hard:3 t
         (OF.Of_match.exact_of_headers (headers ~in_port:1 ()))
         [ OF.Action.Output (OF.Action.Physical 2) ];
@@ -454,7 +452,6 @@ let prop_strategies_agree =
            (list_size (int_range 0 12) (pair (int_range 1 4) (int_range 0 3)))))
     (fun (port, rules) ->
       let linear = table ~strategy:N.Flow_table.Linear () in
-      let hashed = table ~strategy:N.Flow_table.Exact_hash () in
       let cls = table ~strategy:N.Flow_table.Classifier () in
       List.iteri
         (fun i (in_port, kind) ->
@@ -467,7 +464,6 @@ let prop_strategies_agree =
           in
           let actions = [ OF.Action.Output (OF.Action.Physical i) ] in
           add ~priority:(10 * i) linear of_match actions;
-          add ~priority:(10 * i) hashed of_match actions;
           add ~priority:(10 * i) cls of_match actions)
         rules;
       let h = headers ~in_port:port () in
@@ -476,7 +472,7 @@ let prop_strategies_agree =
           (fun e -> e.N.Flow_table.priority, e.N.Flow_table.actions)
           (N.Flow_table.lookup t ~now:0. h)
       in
-      result linear = result hashed && result linear = result cls)
+      result linear = result cls)
 
 (* --- switch ---------------------------------------------------------------------- *)
 

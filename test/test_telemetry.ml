@@ -186,7 +186,7 @@ let test_packet_in_traced_end_to_end () =
   Yanc.Controller.attach_switches ctl;
   let yfs = Yanc.Controller.yfs ctl in
   Yanc.Controller.add_app ctl (Apps.Topology.app (Apps.Topology.create yfs));
-  Yanc.Controller.add_app ctl (Apps.Router.app (Apps.Router.create yfs));
+  Yanc.Controller.add_app ctl (Apps.Ecmp_router.app (Apps.Ecmp_router.create yfs));
   Yanc.Controller.run_for ctl 3.0;
   (* throw away everything from discovery: the pipe consumes on read *)
   ignore (read_proc ctl "trace_pipe");
@@ -215,7 +215,7 @@ let test_packet_in_traced_end_to_end () =
   (* Some trace id must cover the whole pipeline: the packet-in that made
      the router install the path. *)
   let wanted =
-    [ "driver.packet_in"; "sched.wake"; "app.routerd"; "yancfs.flow_write";
+    [ "driver.packet_in"; "sched.wake"; "app.ecmpd"; "yancfs.flow_write";
       "driver.flow_mod"; "switch.install" ]
   in
   let traces =
@@ -242,7 +242,7 @@ let test_proc_metrics_unifies_the_counters () =
   Yanc.Controller.attach_switches ctl;
   let yfs = Yanc.Controller.yfs ctl in
   Yanc.Controller.add_app ctl (Apps.Topology.app (Apps.Topology.create yfs));
-  Yanc.Controller.add_app ctl (Apps.Router.app (Apps.Router.create yfs));
+  Yanc.Controller.add_app ctl (Apps.Ecmp_router.app (Apps.Ecmp_router.create yfs));
   Yanc.Controller.run_for ctl 2.0;
   let body = read_proc ctl "metrics" in
   let entries =
@@ -268,7 +268,7 @@ let test_proc_metrics_unifies_the_counters () =
     (get "fsnotify.events_dispatched" > 0.);
   Alcotest.(check bool) "datapath looked up" true (get "datapath.lookups" > 0.);
   Alcotest.(check bool) "scheduler accounted" true
-    (get "sched.routerd.iterations" > 0.);
+    (get "sched.ecmpd.iterations" > 0.);
   Alcotest.(check bool) "net frames flowed" true
     (get "net.frames_delivered" > 0.);
   Alcotest.(check bool) "tracer health exported" true
@@ -279,7 +279,7 @@ let test_proc_metrics_unifies_the_counters () =
   Alcotest.(check bool) "pktin pool gauged" true
     (get "netsim.pool.pktin.allocated" >= 0.);
   (* the per-app and per-switch stat files exist and render *)
-  let app_stat = read_proc ctl "apps/routerd/stat" in
+  let app_stat = read_proc ctl "apps/ecmpd/stat" in
   Alcotest.(check bool) "app stat lists iterations" true
     (String.length app_stat > 0
     && List.exists
